@@ -16,7 +16,8 @@ Rules:
   same run, so no baseline file is involved).
 * The run and floor ``scale`` must match — wall times (and therefore
   speedups) at different work multipliers are not comparable.
-* ``fleet_scaling`` is gated only when the run's
+* ``fleet_scaling`` gates its own ``work.scaling_x`` (serial wall over
+  4-worker wall, measured in the same run), and only when the run's
   ``work.scaling_meaningful`` annotation is true (multi-CPU host):
   process-pool scaling on a single-CPU runner measures scheduler
   overhead, not the simulator.
@@ -59,39 +60,29 @@ def check(doc: dict, floors_doc: dict) -> int:
 
     failures = []
     for name, floor in sorted(floors.items()):
+        work = doc.get("benches", {}).get(name, {}).get("work", {})
         if isinstance(floor, dict):
             # self-relative metric floor: read from the bench's work dict
-            metric = floor["metric"]
-            label = f"{name}.{metric}"
-            work = doc.get("benches", {}).get(name, {}).get("work", {})
-            measured = work.get(metric)
-            if measured is None:
-                print(f"  {label:15s} -- not in this run, skipped")
-                continue
-            needed = float(floor["floor"]) * (1.0 - tolerance)
-            verdict = "ok" if measured >= needed else "REGRESSION"
-            print(f"  {label:15s} {measured:6.2f}x  "
-                  f"(floor {float(floor['floor']):.2f}x, "
-                  f"gate {needed:.2f}x)  {verdict}")
-            if measured < needed:
-                failures.append((label, measured, needed))
-            continue
-        measured = speedups.get(name)
+            label = f"{name}.{floor['metric']}"
+            measured = work.get(floor["metric"])
+            floor = float(floor["floor"])
+        else:
+            label = name
+            measured = speedups.get(name)
         if measured is None:
-            print(f"  {name:15s} -- not in this run, skipped")
+            print(f"  {label:15s} -- not in this run, skipped")
             continue
-        if name == "fleet_scaling":
-            work = doc["benches"].get(name, {}).get("work", {})
-            if not work.get("scaling_meaningful", False):
-                print(f"  {name:15s} -- single-CPU host "
-                      f"(host_cpus={work.get('host_cpus')}), not gated")
-                continue
+        if name == "fleet_scaling" and \
+                not work.get("scaling_meaningful", False):
+            print(f"  {label:15s} -- single-CPU host "
+                  f"(host_cpus={work.get('host_cpus')}), not gated")
+            continue
         needed = floor * (1.0 - tolerance)
         verdict = "ok" if measured >= needed else "REGRESSION"
-        print(f"  {name:15s} {measured:6.2f}x  (floor {floor:.2f}x, "
+        print(f"  {label:15s} {measured:6.2f}x  (floor {floor:.2f}x, "
               f"gate {needed:.2f}x)  {verdict}")
         if measured < needed:
-            failures.append((name, measured, needed))
+            failures.append((label, measured, needed))
 
     if failures:
         print(f"FAIL: {len(failures)} bench(es) below floor: "

@@ -145,11 +145,6 @@ class MappedRegion:
             return None
         return base_phys if len(runs) == 1 else None
 
-    def _can_map_huge(self, virt_page: int) -> bool:
-        """A 2MB mapping needs virtual & physical 2MB alignment and 512
-        physically contiguous blocks (paper §2.2)."""
-        return self._huge_phys_or_none(virt_page) is not None
-
     def fault(self, virt_page: int, ctx: SimContext) -> bool:
         """Handle a page fault at *virt_page*; returns True if huge.
 
@@ -643,31 +638,41 @@ class MappedRegion:
     # -- raw data movement helpers ----------------------------------------------------
 
     def _segments(self, offset: int, size: int) -> List[Tuple[int, int]]:
-        """(physical address, length) runs covering [offset, +size)."""
+        """(physical address, length) runs covering [offset, +size).
+
+        One extent slice covers every touched block; physically adjacent
+        runs merge, and the first and last runs are trimmed to the
+        partial head and tail block.
+        """
+        if size <= 0:
+            return []
+        bs = self.block_size
+        first = offset // bs
+        runs = self.extents.slice_logical(
+            first, (offset + size - 1) // bs - first + 1)
         out: List[Tuple[int, int]] = []
-        pos = offset
-        end = offset + size
-        while pos < end:
-            block = pos // self.block_size
-            within = pos % self.block_size
-            phys_block = self.extents.physical_block(block)
-            take = min(self.block_size - within, end - pos)
-            out.append((phys_block * self.block_size + within, take))
-            pos += take
-        # merge physically adjacent runs
-        merged: List[Tuple[int, int]] = []
-        for addr, ln in out:
-            if merged and merged[-1][0] + merged[-1][1] == addr:
-                merged[-1] = (merged[-1][0], merged[-1][1] + ln)
+        skip = offset - first * bs
+        remaining = size
+        for run in runs:
+            addr = run.start * bs + skip
+            ln = run.length * bs - skip
+            skip = 0
+            if ln > remaining:
+                ln = remaining
+            remaining -= ln
+            if out and out[-1][0] + out[-1][1] == addr:
+                out[-1] = (out[-1][0], out[-1][1] + ln)
             else:
-                merged.append((addr, ln))
-        return merged
+                out.append((addr, ln))
+        return out
 
     def _copy_out(self, offset: int, size: int, ctx: SimContext) -> bytes:
-        chunks = []
-        for addr, ln in self._segments(offset, size):
-            chunks.append(self.device.load(addr, ln))
-        return b"".join(chunks)
+        segs = self._segments(offset, size)
+        load = self.device.load
+        if len(segs) == 1:
+            addr, ln = segs[0]
+            return load(addr, ln)
+        return b"".join([load(addr, ln) for addr, ln in segs])
 
     def _copy_in(self, offset: int, data: bytes) -> None:
         pos = 0

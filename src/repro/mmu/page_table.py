@@ -216,14 +216,6 @@ class PageTable:
         registry.gauge("pt_installed_total", fn=lambda: self.installed_2m,
                        size="2m", **labels)
 
-    @property
-    def mapped_pages_4k(self) -> int:
-        return len(self._base)
-
-    @property
-    def mapped_pages_2m(self) -> int:
-        return len(self._huge)
-
     def hugepage_fraction(self, total_pages: int) -> float:
         """Fraction of mapped 4KB-page-equivalents covered by hugepages."""
         if total_pages <= 0:

@@ -41,6 +41,10 @@ class StoreRecord:
     fenced: bool = False    # an sfence has made it durable
 
 
+#: what an absent page reads as
+_ZERO_PAGE = bytes(BASE_PAGE)
+
+
 class _SparsePages:
     """Sparse byte store over the PM address space."""
 
@@ -53,25 +57,22 @@ class _SparsePages:
         self._last_page: Optional[bytearray] = None
 
     def read(self, addr: int, length: int) -> bytes:
-        pages = self._pages
-        first = addr // BASE_PAGE
-        last = (addr + length - 1) // BASE_PAGE
-        for page_no in range(first, last + 1):
-            if page_no in pages:
-                break
-        else:
-            # nothing in range ever written: absent pages read as zeros
-            return bytes(length)
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            page_no, off = divmod(addr + pos, BASE_PAGE)
-            take = min(BASE_PAGE - off, length - pos)
-            page = pages.get(page_no)
-            if page is not None:
-                out[pos:pos + take] = page[off:off + take]
-            pos += take
-        return bytes(out)
+        first, off = divmod(addr, BASE_PAGE)
+        if off + length <= BASE_PAGE:
+            page = self._pages.get(first)
+            if page is None:
+                return bytes(length)
+            return bytes(page[off:off + length])
+        # one join over the touched pages; absent pages read as zeros
+        get = self._pages.get
+        last, tail = divmod(addr + length - 1, BASE_PAGE)
+        parts = [get(page_no, _ZERO_PAGE)
+                 for page_no in range(first, last + 1)]
+        if off:
+            parts[0] = parts[0][off:]
+        if tail != BASE_PAGE - 1:
+            parts[-1] = parts[-1][:tail + 1]
+        return b"".join(parts)
 
     def write(self, addr: int, data: bytes) -> None:
         length = len(data)
@@ -90,6 +91,8 @@ class _SparsePages:
                 self._last_page = page
             page[off:off + length] = data
             return
+        # memoryview slices: no copy of each page's share of *data*
+        view = memoryview(data)
         pos = 0
         while pos < length:
             page_no, off = divmod(addr + pos, BASE_PAGE)
@@ -98,7 +101,7 @@ class _SparsePages:
             if page is None:
                 page = bytearray(BASE_PAGE)
                 self._pages[page_no] = page
-            page[off:off + take] = data[pos:pos + take]
+            page[off:off + take] = view[pos:pos + take]
             pos += take
 
     def write_zeros(self, addr: int, length: int) -> None:

@@ -202,7 +202,9 @@ class ExtentList:
                 if within >= ext.length:
                     break
                 take = min(ext.length - within, remaining)
-                out.append(Extent(ext.start + within, take))
+                # a whole extent is shared, not copied: Extent is frozen
+                out.append(ext if take == ext.length
+                           else Extent(ext.start + within, take))
                 remaining -= take
                 pos += take
                 i += 1
